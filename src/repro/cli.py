@@ -381,23 +381,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 def _load_trace_telemetry(path: str):
     """Fleet telemetry from a span JSONL file (single-session ``repro
     trace`` output or a merged fleet ``trace.jsonl``)."""
-    import json
-
+    from repro.core.observability import read_span_jsonl
     from repro.core.telemetry import FleetTelemetry, sketches_from_spans
 
-    by_session: dict = {}
-    with open(path) as fp:
-        for lineno, line in enumerate(fp, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSONL ({exc})")
-            if not isinstance(record, dict) or "name" not in record:
-                raise ValueError(f"{path}:{lineno}: not a span record")
-            session = int(record.pop("session", 0))
-            by_session.setdefault(session, []).append(record)
+    by_session = read_span_jsonl(path)
     fleet = FleetTelemetry()
     fleet.sessions = len(by_session)
     for session in sorted(by_session):

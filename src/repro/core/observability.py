@@ -48,9 +48,12 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
+    Type,
+    Union,
 )
 
 from repro.android.clock import SimulatedClock
@@ -94,6 +97,12 @@ def op_cpu_ms(profile: DeviceProfile) -> Dict[str, float]:
         PerfOp.DECORATION.value: profile.decoration_cpu_ms,
         PerfOp.APP_FRAME.value: 0.0,
     }
+
+
+def ops_cpu_ms(ops: Mapping[str, object],
+               costs: Mapping[str, float]) -> float:
+    """Cost-model CPU of one span's own ``ops``, priced by ``costs``."""
+    return sum(int(n) * costs[op] for op, n in ops.items())  # type: ignore[call-overload]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +291,7 @@ class Span:
 
     def cpu_ms(self, profile: DeviceProfile) -> float:
         """Cost-model CPU attributed directly to this span (not children)."""
-        costs = op_cpu_ms(profile)
-        return sum(n * costs[op] for op, n in self.ops.items())
+        return ops_cpu_ms(self.ops, op_cpu_ms(profile))
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -599,6 +607,128 @@ class PlanProfiler:
 
 
 # ---------------------------------------------------------------------------
+# Span-dump index
+# ---------------------------------------------------------------------------
+
+class SpanForest:
+    """The span tree of ONE session's dump, built once.
+
+    The single owner of the span-tree rules every dump consumer shares
+    (report rebuild, telemetry sketches, profile fold, ops waterfall).
+    Per span id: ``by_id``, ``parent`` (``None`` for roots), ``children``
+    (finish order), ``depth``, ``path`` (names from the root down) and
+    ``cpu`` (own ops, priced once).  ``spans`` is the dump in finish
+    order; ``root`` the unique parentless ``session`` span, or ``None``.
+    ``orphans`` are spans whose ``parent_id`` is absent from the dump
+    (or, in a corrupt dump, closes a parent cycle): each becomes a root
+    at depth 0, so a truncated dump is a defined partial tree.
+    """
+
+    def __init__(self, spans: Iterable[Mapping[str, object]],
+                 profile: Optional[DeviceProfile] = None):
+        costs = op_cpu_ms(profile or DeviceProfile())
+        self.spans = list(spans)
+        self.by_id = {int(s["span_id"]): s for s in self.spans}  # type: ignore[call-overload]
+        self.cpu = {span_id: ops_cpu_ms(s.get("ops", {}), costs)  # type: ignore[arg-type]
+                    for span_id, s in self.by_id.items()}
+        self.parent: Dict[int, Optional[int]] = {
+            span_id: None if s.get("parent_id") is None
+            else int(s["parent_id"])  # type: ignore[call-overload]
+            for span_id, s in self.by_id.items()}
+        self.depth: Dict[int, int] = {}
+        self.path: Dict[int, Tuple[str, ...]] = {}
+        orphans = set()
+        for span_id in self.by_id:
+            if span_id in self.depth:
+                continue
+            chain = [span_id]
+            while chain[-1] not in self.depth:
+                parent = self.parent[chain[-1]]
+                if parent is not None and (parent not in self.by_id
+                                           or parent in chain):
+                    # Parent evicted (or, corrupt, a cycle): re-root here.
+                    orphans.add(chain[-1])
+                    self.parent[chain[-1]] = parent = None
+                if parent is None:
+                    break
+                chain.append(parent)
+            for node in reversed(chain):
+                parent, name = self.parent[node], str(self.by_id[node]["name"])
+                if parent is None:
+                    self.depth[node], self.path[node] = 0, (name,)
+                else:
+                    self.depth[node] = self.depth[parent] + 1
+                    self.path[node] = self.path[parent] + (name,)
+        self.orphans = frozenset(orphans)
+        self.children: Dict[int, List[int]] = {}
+        for span_id, parent in self.parent.items():
+            if parent is not None:
+                self.children.setdefault(parent, []).append(span_id)
+        roots = [s for s in self.spans
+                 if s["name"] == "session" and s.get("parent_id") is None]
+        self.root = roots[0] if len(roots) == 1 else None
+
+    @classmethod
+    def of(cls, spans: Union["SpanForest", Iterable[Mapping[str, object]]],
+           profile: Optional[DeviceProfile] = None) -> "SpanForest":
+        """``spans`` itself if already a forest, else a forest over it."""
+        return spans if isinstance(spans, SpanForest) else cls(spans, profile)
+
+    def subtree_cpu(self, span_id: int) -> float:
+        """CPU of a span and its descendants, added in LIFO walk order —
+        the float order the reaction sketch's golden bytes pin."""
+        total = self.cpu[span_id]
+        stack = [span_id]
+        while stack:
+            for child in self.children.get(stack.pop(), ()):
+                total += self.cpu[child]
+                stack.append(child)
+        return total
+
+
+def read_jsonl(path: str, error: Type[Exception] = ValueError
+               ) -> List[Tuple[int, Dict[str, object]]]:
+    """``(line number, object)`` per complete line of a JSONL file.
+
+    An unterminated final line is a write in flight (or torn by a
+    crash) and is dropped, as :class:`repro.ops.tail.JsonlTail` does.
+    A malformed complete line raises ``error``; ``OSError`` propagates.
+    """
+    with open(path, "rb") as fp:
+        *lines, _torn = fp.read().split(b"\n")
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: malformed JSONL ({exc})")
+        if not isinstance(record, dict):
+            raise error(f"{path}:{lineno}: expected an object per line")
+        records.append((lineno, record))
+    return records
+
+
+def read_span_jsonl(path: str, error: Type[Exception] = ValueError
+                    ) -> Dict[int, List[Dict[str, object]]]:
+    """A span JSONL dump as ``{session: [span, ...]}`` in line (finish)
+    order, each line's ``session`` key popped.  A record that is not a
+    span — no ``name``, or no integer ``span_id`` and integer-or-null
+    ``parent_id`` — raises ``error``."""
+    by_session: Dict[int, List[Dict[str, object]]] = {}
+    for lineno, record in read_jsonl(path, error):
+        session = record.pop("session", 0)
+        parent = record.get("parent_id", "")  # absent: not a span
+        if not (isinstance(session, int) and "name" in record
+                and isinstance(record.get("span_id"), int)
+                and (parent is None or isinstance(parent, int))):
+            raise error(f"{path}:{lineno}: not a span record")
+        by_session.setdefault(session, []).append(record)
+    return by_session
+
+
+# ---------------------------------------------------------------------------
 # Span-derived reporting
 # ---------------------------------------------------------------------------
 
@@ -622,24 +752,20 @@ def stage_cpu_ms(spans: Iterable[Dict[str, object]],
     over-counts, and the tracer's ``dropped`` counter says how many
     spans are missing.  ``tests/core`` pins this behavior.
     """
-    profile = profile or DeviceProfile()
-    costs = op_cpu_ms(profile)
+    forest = SpanForest(spans, profile)
     out: Dict[str, float] = {}
-    for span in spans:
-        cpu = sum(int(n) * costs[op]
-                  for op, n in span.get("ops", {}).items())  # type: ignore[union-attr]
+    for span in forest.spans:
         name = str(span["name"])
-        out[name] = out.get(name, 0.0) + cpu
+        out[name] = out.get(name, 0.0) + forest.cpu[int(span["span_id"])]  # type: ignore[call-overload]
     return out
 
 
 def session_root(spans: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """The (unique) parentless ``session`` span of a session dump."""
-    roots = [s for s in spans
-             if s["name"] == "session" and s["parent_id"] is None]
-    if len(roots) != 1:
-        raise ValueError(f"expected exactly one session root, got {len(roots)}")
-    return roots[0]
+    root = SpanForest(spans).root
+    if root is None:
+        raise ValueError("expected exactly one session root")
+    return root  # type: ignore[return-value]
 
 
 def report_from_spans(

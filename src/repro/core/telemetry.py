@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union)
 
 from repro.android.device import DeviceProfile
-from repro.core.observability import op_cpu_ms
+from repro.core.observability import SpanForest
 
 #: Default relative accuracy of the log buckets (DDSketch alpha).
 DEFAULT_ALPHA = 0.01
@@ -227,13 +228,8 @@ class QuantileSketch:
 # Session-level telemetry (derived from span dumps)
 # ---------------------------------------------------------------------------
 
-def _span_cpu(span: Mapping[str, object], costs: Mapping[str, float]) -> float:
-    return sum(int(n) * costs[op]
-               for op, n in span.get("ops", {}).items())  # type: ignore[union-attr]
-
-
 def sketches_from_spans(
-    spans: Sequence[Mapping[str, object]],
+    spans: Union[SpanForest, Sequence[Mapping[str, object]]],
     profile: Optional[DeviceProfile] = None,
     session: int = 0,
     alpha: float = DEFAULT_ALPHA,
@@ -248,52 +244,39 @@ def sketches_from_spans(
       (the last UI event — so backoff retries are included) plus the
       attributed CPU of the whole analyze subtree.
 
-    Exemplars carry ``(session, span_id, trace_id)`` so a hot bucket
-    points straight back into the span JSONL.
+    ``spans`` may be a prebuilt :class:`SpanForest`.  Exemplars carry
+    ``(session, span_id, trace_id)`` so a hot bucket points straight
+    back into the span JSONL.
     """
-    profile = profile or DeviceProfile()
-    costs = op_cpu_ms(profile)
+    forest = SpanForest.of(spans, profile)
     sketches = {name: QuantileSketch(alpha=alpha) for name in STAGE_SKETCHES}
-
-    children: Dict[int, List[Mapping[str, object]]] = {}
-    for span in spans:
-        parent = span["parent_id"]
-        if parent is not None:
-            children.setdefault(int(parent), []).append(span)  # type: ignore[arg-type]
-
-    def subtree_cpu(span: Mapping[str, object]) -> float:
-        total = _span_cpu(span, costs)
-        stack = [int(span["span_id"])]  # type: ignore[arg-type]
-        while stack:
-            for child in children.get(stack.pop(), []):
-                total += _span_cpu(child, costs)
-                stack.append(int(child["span_id"]))  # type: ignore[arg-type]
-        return total
 
     def exemplar(span: Mapping[str, object]) -> Dict[str, object]:
         return {"session": session, "span_id": int(span["span_id"]),  # type: ignore[arg-type]
                 "trace_id": str(span["trace_id"])}
 
     pending_debounce: Optional[Mapping[str, object]] = None
-    for span in spans:  # finish order: children close before parents
+    for span in forest.spans:  # finish order: children close before parents
         name = span["name"]
+        span_id = int(span["span_id"])  # type: ignore[arg-type]
         if name == "debounce":
             sketches[DEBOUNCE_SKETCH].observe(
                 float(span["end_ms"]) - float(span["start_ms"]),  # type: ignore[arg-type]
                 exemplar=exemplar(span))
             pending_debounce = span
         elif name == "screenshot" and span.get("ops"):
-            sketches[SCREENSHOT_SKETCH].observe(_span_cpu(span, costs),
+            sketches[SCREENSHOT_SKETCH].observe(forest.cpu[span_id],
                                                 exemplar=exemplar(span))
         elif name == "inference" and span.get("ops"):
-            sketches[INFERENCE_SKETCH].observe(_span_cpu(span, costs),
+            sketches[INFERENCE_SKETCH].observe(forest.cpu[span_id],
                                                exemplar=exemplar(span))
         elif (name == "analyze"
               and span.get("attributes", {}).get("outcome") == "ok"):  # type: ignore[union-attr]
             start = (float(pending_debounce["start_ms"])  # type: ignore[arg-type]
                      if pending_debounce is not None
                      else float(span["start_ms"]))  # type: ignore[arg-type]
-            reaction = (float(span["end_ms"]) - start) + subtree_cpu(span)  # type: ignore[arg-type]
+            reaction = ((float(span["end_ms"]) - start)  # type: ignore[arg-type]
+                        + forest.subtree_cpu(span_id))
             sketches[REACTION_SKETCH].observe(reaction,
                                               exemplar=exemplar(span))
     return sketches
@@ -335,6 +318,14 @@ def _counter_namespace(name: str) -> str:
             else _PIPELINE_PREFIX)
 
 
+def counters_from_snapshot(snapshot: Mapping[str, object]) -> Dict[str, int]:
+    """The :data:`TELEMETRY_COUNTERS` of one session's registry snapshot
+    (0 for any the snapshot lacks)."""
+    recorded = snapshot.get("counters", {})
+    return {name: int(recorded.get(_counter_namespace(name) + name) or 0)  # type: ignore[union-attr]
+            for name in TELEMETRY_COUNTERS}
+
+
 @dataclass
 class SessionTelemetry:
     """One session's contribution to fleet telemetry."""
@@ -351,16 +342,10 @@ class SessionTelemetry:
         if result.spans is None:
             raise ValueError(
                 "telemetry needs a traced session (run with trace=True)")
-        counters: Dict[str, int] = {name: 0 for name in TELEMETRY_COUNTERS}
-        for name in TELEMETRY_COUNTERS:
-            value = result.metrics.get("counters", {}).get(
-                _counter_namespace(name) + name)
-            if value is not None:
-                counters[name] = int(value)
         return cls(session=session,
                    sketches=sketches_from_spans(result.spans, profile=profile,
                                                 session=session, alpha=alpha),
-                   counters=counters)
+                   counters=counters_from_snapshot(result.metrics))
 
 
 def session_telemetries(

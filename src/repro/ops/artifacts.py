@@ -35,14 +35,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.android.device import DeviceProfile
-from repro.core.observability import op_cpu_ms
+from repro.core.observability import SpanForest, read_jsonl, read_span_jsonl
 from repro.core.telemetry import (
     FleetTelemetry,
     REACTION_SLACK_MS,
-    RESILIENCE_TELEMETRY_COUNTERS,
     SessionTelemetry,
     SloEngine,
-    TELEMETRY_COUNTERS,
+    counters_from_snapshot,
     default_slos,
     sketches_from_spans,
 )
@@ -161,75 +160,44 @@ def injectable_listing(run_dir: str,
     return sorted(listing)
 
 
-def _read_jsonl(path: str) -> List[Dict[str, object]]:
-    records = []
-    with open(path) as fp:
-        for lineno, line in enumerate(fp, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RunDirectoryError(
-                    f"{path}:{lineno}: malformed JSONL ({exc})")
-            if not isinstance(record, dict):
-                raise RunDirectoryError(
-                    f"{path}:{lineno}: expected an object per line")
-            records.append(record)
-    return records
+def _read_json(run_dir: str, name: str) -> Mapping[str, object]:
+    with open(os.path.join(run_dir, name)) as fp:
+        try:
+            return json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise RunDirectoryError(f"{name}: malformed JSON ({exc})")
 
 
-def _session_counters(snapshot: Mapping[str, object]) -> Dict[str, int]:
-    """Telemetry counters of one session's registry snapshot."""
-    counters: Dict[str, int] = {name: 0 for name in TELEMETRY_COUNTERS}
-    recorded = snapshot.get("counters", {})
-    for name in TELEMETRY_COUNTERS:
-        namespace = ("darpa.resilience."
-                     if name in RESILIENCE_TELEMETRY_COUNTERS
-                     else "darpa.pipeline.")
-        value = recorded.get(namespace + name)  # type: ignore[union-attr]
-        if value is not None:
-            counters[name] = int(value)
-    return counters
-
-
-def _build_trace(session: int, spans: Sequence[Mapping[str, object]],
-                 costs: Mapping[str, float]) -> SessionTrace:
-    depth: Dict[int, int] = {}
-    by_id = {int(s["span_id"]): s for s in spans}  # type: ignore[arg-type]
-
-    def depth_of(span_id: int) -> int:
-        if span_id in depth:
-            return depth[span_id]
-        parent = by_id[span_id]["parent_id"]
-        level = 0 if parent is None else depth_of(int(parent)) + 1  # type: ignore[arg-type]
-        depth[span_id] = level
-        return level
-
+def _build_trace(session: int, forest: SpanForest) -> SessionTrace:
     views = []
-    root_trace, lo, hi = "", 0.0, 0.0
-    for span in spans:
+    for span in forest.spans:
         span_id = int(span["span_id"])  # type: ignore[arg-type]
-        cpu = sum(int(n) * costs[op]
-                  for op, n in span.get("ops", {}).items())  # type: ignore[union-attr]
-        view = SpanView(
+        views.append(SpanView(
             session=session,
             span_id=span_id,
-            parent_id=(None if span["parent_id"] is None
-                       else int(span["parent_id"])),  # type: ignore[arg-type]
+            parent_id=span["parent_id"],  # int or None: read_span_jsonl
             trace_id=str(span["trace_id"]),
             name=str(span["name"]),
             start_ms=float(span["start_ms"]),  # type: ignore[arg-type]
             end_ms=float(span["end_ms"]),  # type: ignore[arg-type]
-            depth=depth_of(span_id),
-            cpu_ms=cpu,
+            depth=forest.depth[span_id],
+            cpu_ms=forest.cpu[span_id],
             attributes=dict(span.get("attributes", {})),  # type: ignore[arg-type]
-        )
-        views.append(view)
-        if view.parent_id is None and view.name == "session":
-            root_trace, lo, hi = view.trace_id, view.start_ms, view.end_ms
+        ))
     views.sort(key=lambda v: (v.start_ms, v.span_id))
-    return SessionTrace(session=session, trace_id=root_trace,
+    root = forest.root
+    if root is not None:
+        trace_id = str(root["trace_id"])
+        lo, hi = float(root["start_ms"]), float(root["end_ms"])  # type: ignore[arg-type]
+    else:
+        # The root did not survive (evicted, or the dump was cut before
+        # it closed): bound the trace by the spans that did.
+        trace_id = views[0].trace_id
+        if any(view.trace_id != trace_id for view in views):
+            trace_id = ""
+        lo = min(view.start_ms for view in views)
+        hi = max(view.end_ms for view in views)
+    return SessionTrace(session=session, trace_id=trace_id,
                         start_ms=lo, end_ms=hi, spans=tuple(views))
 
 
@@ -258,12 +226,7 @@ def load_run(
     # loadable, and the sketch algebra makes the fold order-free.
     fleet = FleetTelemetry()
     for name in plan["telemetry"]:
-        with open(os.path.join(run_dir, name)) as fp:
-            try:
-                snap = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise RunDirectoryError(f"{name}: malformed JSON ({exc})")
-        fleet.merge(FleetTelemetry.from_snapshot(snap))
+        fleet.merge(FleetTelemetry.from_snapshot(_read_json(run_dir, name)))
 
     # Spans, grouped by global session index.  Line order within a
     # session (span finish order) is preserved — the telemetry
@@ -271,30 +234,27 @@ def load_run(
     # order, which IS global session order for shard parts.
     spans_by_session: Dict[int, List[Dict[str, object]]] = {}
     for name in plan["trace"]:
-        for record in _read_jsonl(os.path.join(run_dir, name)):
-            session = int(record.pop("session", 0))  # type: ignore[arg-type]
-            spans_by_session.setdefault(session, []).append(record)
+        path = os.path.join(run_dir, name)
+        for session, spans in read_span_jsonl(path,
+                                              RunDirectoryError).items():
+            spans_by_session.setdefault(session, []).extend(spans)
 
     metrics_by_session: Dict[int, Mapping[str, object]] = {}
     for name in plan["metrics"]:
-        for record in _read_jsonl(os.path.join(run_dir, name)):
+        path = os.path.join(run_dir, name)
+        for _, record in read_jsonl(path, RunDirectoryError):
             session = int(record.get("session", 0))  # type: ignore[arg-type]
             metrics_by_session[session] = record.get("metrics", {})  # type: ignore[assignment]
 
-    costs = op_cpu_ms(profile)
+    # One span tree per session, shared by the waterfall, the profile
+    # fold and the sketches, so all three agree on a truncated dump.
     sessions = tuple(sorted(spans_by_session))
-    traces = {
-        session: _build_trace(session, spans_by_session[session], costs)
-        for session in sessions
-    }
+    forests = {session: SpanForest(spans_by_session[session], profile)
+               for session in sessions}
+    traces = {session: _build_trace(session, forests[session])
+              for session in sessions}
 
-    singles: Dict[str, Mapping[str, object]] = {}
-    for name in plan["single"]:
-        with open(os.path.join(run_dir, name)) as fp:
-            try:
-                singles[name] = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise RunDirectoryError(f"{name}: malformed JSON ({exc})")
+    singles = {name: _read_json(run_dir, name) for name in plan["single"]}
 
     # Stack profile: merged file and/or shard parts, folded order-free
     # (the profile algebra is all-integer, like the sketches).  A
@@ -302,11 +262,7 @@ def load_run(
     # bare trace dumps still serve /api/flame.
     run_profile = Profile()
     for name in plan["profile"]:
-        with open(os.path.join(run_dir, name)) as fp:
-            try:
-                payload = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise RunDirectoryError(f"{name}: malformed JSON ({exc})")
+        payload = _read_json(run_dir, name)
         try:
             run_profile.merge(Profile.from_dict(payload))
         except (ValueError, TypeError) as exc:
@@ -315,8 +271,7 @@ def load_run(
         for session in sessions:
             metrics = metrics_by_session.get(session, {})
             run_profile.merge(profile_from_spans(
-                spans_by_session[session], profile=profile,
-                dropped_spans=dropped_from_metrics(metrics)))
+                forests[session], dropped_spans=dropped_from_metrics(metrics)))
 
     baseline_profile: Optional[Profile] = None
     baseline_payload = singles.get("baseline.profile.json")
@@ -327,33 +282,24 @@ def load_run(
             raise RunDirectoryError(
                 f"baseline.profile.json: malformed profile ({exc})")
 
+    # Per-session telemetry, derived once: the SLO series when no
+    # slo.json was shipped, and the fleet snapshot when no telemetry was
+    # (a daemon-only directory, or a bare trace).
+    series = [
+        SessionTelemetry(
+            session=session,
+            sketches=sketches_from_spans(forests[session], session=session),
+            counters=counters_from_snapshot(
+                metrics_by_session.get(session, {})))
+        for session in sessions
+    ]
     slo = singles.get("slo.json")
     if slo is None:
-        series = [
-            SessionTelemetry(
-                session=session,
-                sketches=sketches_from_spans(
-                    spans_by_session[session], profile=profile,
-                    session=session),
-                counters=_session_counters(
-                    metrics_by_session.get(session, {})))
-            for session in sessions
-        ]
         engine = SloEngine(default_slos(ct_ms=ct_ms, profile=profile))
         slo = engine.evaluate(series).to_dict()
-
-    # A telemetry-free directory (daemon-only, or a bare trace) still
-    # loads: the fleet snapshot is then rebuilt from the traces so the
-    # overview route has sketches to project.
-    if not plan["telemetry"] and sessions:
-        for session in sessions:
-            fleet.observe_session(SessionTelemetry(
-                session=session,
-                sketches=sketches_from_spans(
-                    spans_by_session[session], profile=profile,
-                    session=session),
-                counters=_session_counters(
-                    metrics_by_session.get(session, {}))))
+    if not plan["telemetry"]:
+        for telemetry in series:
+            fleet.observe_session(telemetry)
 
     return RunModel(
         ct_ms=float(ct_ms),

@@ -3,25 +3,26 @@
 The tracer already attributes every cost-model charge to exactly one
 span (innermost-open wins; children never roll up into parents), so a
 span dump *is* a profile — it just isn't stack-keyed yet.  This module
-walks each span's parent chain to build its stack path, converts the
-span's attributed CPU to integer microseconds (rounded exactly once,
-at fold time), and expands the PlanProfiler's ``plan_ops`` attribute on
+reads each span's stack path off the session's
+:class:`~repro.core.observability.SpanForest`, converts the span's
+attributed CPU to integer microseconds (rounded exactly once, at fold
+time), and expands the PlanProfiler's ``plan_ops`` attribute on
 inference spans into per-step child frames so the flame view reaches
 down to individual kernel steps (``...;inference;conv3/gemm``).
 
 Truncation is first-class: a ring-buffer-evicted parent makes its
-surviving children *orphans* — they are rooted at the nearest surviving
-ancestor and counted in :attr:`Profile.orphan_spans`, and the tracer's
+surviving children *orphans* — the forest roots each one at depth 0,
+they are counted in :attr:`Profile.orphan_spans`, and the tracer's
 drop counter rides along as :attr:`Profile.dropped_spans`, so a merged
 profile always says how complete it is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Union
 
 from repro.android.device import DeviceProfile
-from repro.core.observability import DROPPED_SPANS_COUNTER, op_cpu_ms
+from repro.core.observability import DROPPED_SPANS_COUNTER, SpanForest
 from repro.profiling.profile import Profile, STACK_SEP
 
 #: Span attribute carrying the PlanProfiler per-step MAC attribution
@@ -48,7 +49,7 @@ def dropped_from_metrics(snapshot: Mapping[str, object]) -> int:
 
 
 def profile_from_spans(
-    spans: Iterable[Mapping[str, object]],
+    spans: Union[SpanForest, Iterable[Mapping[str, object]]],
     profile: Optional[DeviceProfile] = None,
     dropped_spans: int = 0,
 ) -> Profile:
@@ -56,49 +57,20 @@ def profile_from_spans(
 
     ``dropped_spans`` is the tracer's eviction count for this dump
     (callers read it from the session's metrics snapshot via
-    :func:`dropped_from_metrics`); it is carried, not inferred.  Spans
-    whose parent chain breaks (parent evicted before export) are rooted
-    at the nearest surviving ancestor and counted as orphans.
+    :func:`dropped_from_metrics`); it is carried, not inferred.  Stack
+    paths, per-span CPU and the orphan count come from the session's
+    :class:`SpanForest` (``spans`` may be a prebuilt one).
     """
-    profile = profile or DeviceProfile()
-    costs = op_cpu_ms(profile)
+    forest = SpanForest.of(spans, profile)
     out = Profile()
     out.sessions = 1
     out.dropped_spans = int(dropped_spans)
+    out.orphan_spans = len(forest.orphans)
 
-    records: List[Mapping[str, object]] = list(spans)
-    by_id: Dict[int, Mapping[str, object]] = {
-        int(span["span_id"]): span for span in records}  # type: ignore[arg-type]
-    stacks: Dict[int, Tuple[str, ...]] = {}
-    orphans: Dict[int, bool] = {}
-
-    def resolve(span_id: int) -> Tuple[str, ...]:
-        cached = stacks.get(span_id)
-        if cached is not None:
-            return cached
-        span = by_id[span_id]
-        parent = span.get("parent_id")
-        if parent is None:
-            stack: Tuple[str, ...] = (_segment(str(span["name"])),)
-            orphans[span_id] = False
-        elif int(parent) in by_id:  # type: ignore[arg-type]
-            stack = resolve(int(parent)) + (_segment(str(span["name"])),)  # type: ignore[arg-type]
-            orphans[span_id] = False
-        else:
-            # Parent evicted by the ring buffer: root here and say so.
-            stack = (_segment(str(span["name"])),)
-            orphans[span_id] = True
-        stacks[span_id] = stack
-        return stack
-
-    for span in records:
+    for span in forest.spans:
         span_id = int(span["span_id"])  # type: ignore[arg-type]
-        stack = resolve(span_id)
-        if orphans[span_id]:
-            out.orphan_spans += 1
-        span_us = _us(sum(
-            int(n) * costs[op]
-            for op, n in span.get("ops", {}).items()))  # type: ignore[union-attr]
+        stack = tuple(_segment(name) for name in forest.path[span_id])
+        span_us = _us(forest.cpu[span_id])
         attributes = span.get("attributes", {})
         plan_ops = (attributes.get(PLAN_OPS_ATTR)
                     if isinstance(attributes, Mapping) else None)

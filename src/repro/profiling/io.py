@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.android.device import DeviceProfile
+from repro.core.observability import read_jsonl, read_span_jsonl
 from repro.profiling.fold import dropped_from_metrics, profile_from_spans
 from repro.profiling.profile import PROFILE_KEY, Profile
 
@@ -59,37 +60,11 @@ def _profile_from_payload(path: str,
         raise ProfileSourceError(f"{path}: malformed profile ({exc})")
 
 
-def _read_jsonl(path: str) -> List[Mapping[str, object]]:
-    records: List[Mapping[str, object]] = []
-    try:
-        with open(path) as fp:
-            for lineno, line in enumerate(fp, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ProfileSourceError(
-                        f"{path}:{lineno}: malformed JSONL ({exc})")
-                if not isinstance(record, dict):
-                    raise ProfileSourceError(
-                        f"{path}:{lineno}: expected an object per line")
-                records.append(record)
-    except OSError as exc:
-        raise ProfileSourceError(f"cannot read {path}: {exc}")
-    return records
-
-
-def _fold_span_records(records: List[Mapping[str, object]],
-                       dropped: Optional[Dict[int, int]] = None,
-                       device_profile: Optional[DeviceProfile] = None
-                       ) -> Profile:
-    """Group span lines by global session index and fold each session."""
-    by_session: Dict[int, List[Mapping[str, object]]] = {}
-    for record in records:
-        session = int(record.get("session", 0))  # type: ignore[arg-type]
-        span = {k: v for k, v in record.items() if k != "session"}
-        by_session.setdefault(session, []).append(span)
+def _fold_sessions(by_session: Mapping[int, List[Dict[str, object]]],
+                   dropped: Optional[Dict[int, int]] = None,
+                   device_profile: Optional[DeviceProfile] = None
+                   ) -> Profile:
+    """Fold each session's spans, in session order, into one Profile."""
     out = Profile()
     for session in sorted(by_session):
         out.merge(profile_from_spans(
@@ -121,31 +96,38 @@ def _load_dir(run_dir: str,
     if not trace_parts:
         raise ProfileSourceError(
             f"no profile or trace artifacts in {run_dir}")
-    records: List[Mapping[str, object]] = []
+    by_session: Dict[int, List[Dict[str, object]]] = {}
     for name in trace_parts:
-        records.extend(_read_jsonl(os.path.join(run_dir, name)))
+        path = os.path.join(run_dir, name)
+        for session, spans in read_span_jsonl(
+                path, ProfileSourceError).items():
+            by_session.setdefault(session, []).extend(spans)
     dropped: Dict[int, int] = {}
     for name in listing:
         if name == "metrics.jsonl" or (name.startswith("shard-")
                                        and name.endswith(".metrics.jsonl")):
-            for record in _read_jsonl(os.path.join(run_dir, name)):
+            for _, record in read_jsonl(os.path.join(run_dir, name),
+                                        ProfileSourceError):
                 session = int(record.get("session", 0))  # type: ignore[arg-type]
                 metrics = record.get("metrics", {})
                 if isinstance(metrics, Mapping):
                     dropped[session] = dropped_from_metrics(metrics)
-    return _fold_span_records(records, dropped, device_profile)
+    return _fold_sessions(by_session, dropped, device_profile)
 
 
 def load_profile(source: str,
                  device_profile: Optional[DeviceProfile] = None) -> Profile:
     """Load a Profile from a run directory, JSON document, or span JSONL."""
-    if os.path.isdir(source):
-        return _load_dir(source, device_profile)
     if not os.path.exists(source):
         raise ProfileSourceError(f"no such file or directory: {source}")
-    if source.endswith(".jsonl"):
-        return _fold_span_records(_read_jsonl(source),
+    try:
+        if os.path.isdir(source):
+            return _load_dir(source, device_profile)
+        if source.endswith(".jsonl"):
+            return _fold_sessions(read_span_jsonl(source, ProfileSourceError),
                                   device_profile=device_profile)
+    except OSError as exc:
+        raise ProfileSourceError(f"cannot read {source}: {exc}")
     return _profile_from_payload(source, _load_json(source))
 
 

@@ -17,8 +17,11 @@ from repro.core.observability import (
     MetricsRegistry,
     PlanProfiler,
     Span,
+    SpanForest,
     Tracer,
     ops_from_spans,
+    read_jsonl,
+    read_span_jsonl,
     report_from_spans,
     session_root,
     stage_cpu_ms,
@@ -405,6 +408,123 @@ class TestTruncatedDumps:
         spans = [s for s in tracer.export() if s["name"] != "session"]
         with pytest.raises(ValueError):
             report_from_spans(spans)
+
+
+# ---------------------------------------------------------------------------
+# SpanForest: the one span-tree index every dump consumer reads
+# ---------------------------------------------------------------------------
+
+def _span(name, span_id, parent_id=None, ops=None):
+    return {"name": name, "span_id": span_id, "parent_id": parent_id,
+            "trace_id": "t", "start_ms": 0.0, "end_ms": 1.0,
+            "attributes": {}, "ops": ops or {}}
+
+
+class TestSpanForest:
+    # Finish order: children close before their parents.
+    DUMP = [
+        _span("screenshot", 3, 2, ops={PerfOp.SCREENSHOT.value: 1}),
+        _span("inference", 4, 2, ops={PerfOp.INFERENCE.value: 1}),
+        _span("analyze", 2, 1),
+        _span("event", 5, 1, ops={PerfOp.EVENT_DELIVERED.value: 2}),
+        _span("session", 1),
+    ]
+
+    def test_tree_of_a_complete_dump(self):
+        forest = SpanForest(self.DUMP)
+        assert forest.root is self.DUMP[-1]
+        assert forest.orphans == frozenset()
+        assert forest.children == {2: [3, 4], 1: [2, 5]}
+        assert forest.depth == {3: 2, 4: 2, 2: 1, 5: 1, 1: 0}
+        assert forest.path[4] == ("session", "analyze", "inference")
+        p = DeviceProfile()
+        assert forest.cpu[3] == p.screenshot_cpu_ms
+        assert forest.subtree_cpu(2) == (p.screenshot_cpu_ms
+                                         + p.inference_cpu_ms)
+
+    def test_missing_parent_reroots_its_children(self):
+        forest = SpanForest([s for s in self.DUMP if s["span_id"] != 2])
+        assert forest.orphans == frozenset({3, 4})
+        assert forest.parent[3] is None and forest.depth[3] == 0
+        assert forest.path[4] == ("inference",)
+        assert forest.root is not None
+
+    def test_missing_root_leaves_no_root(self):
+        forest = SpanForest(self.DUMP[:-1])
+        assert forest.root is None
+        assert forest.orphans == frozenset({2, 5})
+        assert forest.depth[3] == 1  # still under its surviving parent
+
+    def test_parent_cycle_is_cut_not_looped(self):
+        forest = SpanForest([_span("a", 1, 2), _span("b", 2, 1)])
+        assert len(forest.orphans) == 1
+        assert sorted(forest.depth.values()) == [0, 1]
+
+    def test_subtree_cpu_adds_in_lifo_walk_order(self):
+        # root -> (a -> c, b -> d).  The walk adds root, a, b, then pops
+        # b (adds d) and a (adds c); a pre-order walk would add c before
+        # b, and with these charges the two float sums differ.
+        def events(n):
+            return {PerfOp.EVENT_DELIVERED.value: n}
+        spans = [_span("c", 4, 2, ops=events(1)), _span("a", 2, 1, events(1)),
+                 _span("d", 5, 3, ops=events(2)), _span("b", 3, 1, events(1)),
+                 _span("root", 1, ops=events(1))]
+        cpu = SpanForest(spans).cpu
+        lifo, preorder = cpu[1], cpu[1]
+        for span_id in (2, 3, 5, 4):
+            lifo += cpu[span_id]
+        for span_id in (2, 4, 3, 5):
+            preorder += cpu[span_id]
+        assert lifo != preorder
+        assert SpanForest(spans).subtree_cpu(1) == lifo
+
+    def test_prebuilt_forest_is_reused(self):
+        forest = SpanForest(self.DUMP)
+        assert SpanForest.of(forest) is forest
+        assert SpanForest.of(self.DUMP).depth == forest.depth
+
+    def test_span_cpu_ms_agrees_with_the_forest(self):
+        span = Span(name="x", span_id=1, parent_id=None, trace_id="t",
+                    start_ms=0.0, end_ms=1.0,
+                    ops={PerfOp.INFERENCE.value: 2})
+        profile = DeviceProfile()
+        assert span.cpu_ms(profile) == SpanForest(
+            [span.to_dict()], profile).cpu[1]
+
+
+class TestJsonlReaders:
+    def write(self, tmp_path, text):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(text)
+        return str(path)
+
+    def test_unterminated_final_line_is_dropped(self, tmp_path):
+        line = json.dumps({"session": 3, **_span("session", 1)})
+        path = self.write(tmp_path, line + "\n" + line[:17])
+        assert [n for n, _ in read_jsonl(path)] == [1]
+        assert list(read_span_jsonl(path)) == [3]
+
+    def test_malformed_complete_line_names_file_and_line(self, tmp_path):
+        path = self.write(tmp_path, "{}\n{oops\n{}\n")
+        with pytest.raises(KeyError, match=r"trace\.jsonl:2"):
+            read_jsonl(path, error=KeyError)
+
+    def test_non_span_record_is_rejected(self, tmp_path):
+        path = self.write(tmp_path, '{"rows": 3}\n')
+        with pytest.raises(ValueError, match="not a span record"):
+            read_span_jsonl(path)
+        for bad in ({"session": "x"}, {"span_id": "1"}, {"parent_id": 1.5}):
+            line = json.dumps({**_span("s", 1), **bad})
+            with pytest.raises(ValueError, match="not a span record"):
+                read_span_jsonl(self.write(tmp_path, line + "\n"))
+
+    def test_sessions_keep_line_order(self, tmp_path):
+        lines = [json.dumps({"session": session, **_span("x", span_id)})
+                 for session, span_id in ((1, 5), (0, 1), (1, 2))]
+        path = self.write(tmp_path, "".join(l + "\n" for l in lines))
+        grouped = read_span_jsonl(path)
+        assert [s["span_id"] for s in grouped[1]] == [5, 2]
+        assert "session" not in grouped[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,19 @@ class TestErrorPaths:
         with pytest.raises(RunDirectoryError, match="object per line"):
             load_run(str(tmp_path))
 
+    def test_non_span_trace_line(self, tmp_path):
+        write(str(tmp_path / "trace.jsonl"), '{"rows": 3}\n')
+        with pytest.raises(RunDirectoryError, match="not a span record"):
+            load_run(str(tmp_path))
+
+    def test_torn_trailing_line_is_dropped(self, tmp_path):
+        # A live run's half-written last line is not yet data (the SSE
+        # tail applies the same rule), so the directory still loads.
+        write_trace(str(tmp_path), [SPAN, CHILD])
+        with open(tmp_path / "trace.jsonl", "a") as fp:
+            fp.write('{"session": 0, "na')
+        assert load_run(str(tmp_path)).span_ids(0) == frozenset({1, 2})
+
     def test_malformed_telemetry_json(self, tmp_path):
         write(str(tmp_path / "telemetry.json"), "{broken")
         with pytest.raises(RunDirectoryError, match="malformed JSON"):
@@ -117,6 +130,20 @@ class TestTraceProjection:
         trace = load_run(str(tmp_path)).traces[0]
         assert trace.trace_id == "t0"
         assert (trace.start_ms, trace.end_ms) == (0.0, 100.0)
+
+    def test_orphan_reroots_at_depth_zero(self, tmp_path):
+        # The capture span was evicted: its child is an orphan, shown
+        # at depth 0 with its (absent) parent id kept.
+        write_trace(str(tmp_path), [GRANDCHILD, SPAN])
+        by_name = {s.name: s for s in load_run(str(tmp_path)).traces[0].spans}
+        assert by_name["encode"].depth == 0
+        assert by_name["encode"].parent_id == 2
+
+    def test_rootless_trace_is_bounded_by_its_survivors(self, tmp_path):
+        write_trace(str(tmp_path), [GRANDCHILD, CHILD])
+        trace = load_run(str(tmp_path)).traces[0]
+        assert trace.trace_id == "t0"
+        assert (trace.start_ms, trace.end_ms) == (10.0, 20.0)
 
     def test_cpu_ms_prices_ops_through_the_cost_model(self, tmp_path):
         write_trace(str(tmp_path), [SPAN, CHILD])

@@ -94,6 +94,24 @@ class TestExitCodes:
         a = write_profile(tmp_path, "a.json", fold())
         assert run_profile(diff=(a, str(tmp_path / "nope.json"))) == 2
 
+    def test_non_span_trace_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"rows": 3}\n')
+        assert run_profile(source=str(path)) == 2
+        assert run_profile(source=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("not a span record") == 2 and "Traceback" not in err
+
+    def test_torn_trailing_line_is_dropped(self, run_dir, tmp_path):
+        # A live run's half-written last line is not yet data: the
+        # fold equals the fold of the complete lines alone.
+        complete = (run_dir / "trace.jsonl").read_text()
+        torn = tmp_path / "trace.jsonl"
+        torn.write_text(complete + '{"session": 2, "na')
+        assert run_profile(source=str(torn)) == 0
+        assert (load_profile(str(torn)).to_json()
+                == load_profile(str(run_dir / "trace.jsonl")).to_json())
+
 
 class TestFoldOutput:
     def test_fold_stdout_is_exactly_the_folded_text(self, run_dir,

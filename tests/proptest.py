@@ -1028,6 +1028,35 @@ class TestOpsProperty:
                     recorded[exemplar["session"]])
         assert seen > 0, "no exemplars survived the merge — vacuous case"
 
+    @pytest.mark.parametrize("index", range(N_OPS_CASES))
+    def test_fixture_cut_at_any_line_loads_with_counted_orphans(
+            self, index, tmp_path):
+        import shutil
+
+        from repro.ops.artifacts import load_run
+
+        # Cut every trace part of the committed fixture run at a random
+        # line boundary (a live run mid-write, or a crash).  The profile
+        # parts are left out so the profile is folded from the cut spans.
+        rng = np.random.default_rng(SEED_BASE * 8000 + 500 + index)
+        fixture = os.path.join(os.path.dirname(__file__), "ops", "fixtures",
+                               "run")
+        for name in sorted(os.listdir(fixture)):
+            if name.endswith(".profile.json"):
+                continue
+            shutil.copy(os.path.join(fixture, name), tmp_path / name)
+            if name.endswith(".trace.jsonl"):
+                with open(tmp_path / name) as fp:
+                    lines = fp.readlines()
+                keep = int(rng.integers(1, len(lines) + 1))
+                (tmp_path / name).write_text("".join(lines[:keep]))
+        model = load_run(str(tmp_path), ct_ms=200.0)
+        rerooted = sum(1 for trace in model.traces.values()
+                       for span in trace.spans
+                       if span.depth == 0 and span.name != "session")
+        assert rerooted > 0, "vacuous case — every cut hit a session end"
+        assert model.profile.orphan_spans == rerooted
+
 
 # ---------------------------------------------------------------------------
 # Profiling: the stack-profile merge algebra under random shardings.
@@ -1074,11 +1103,10 @@ class TestProfilingProperty:
     @pytest.mark.parametrize("index", range(N_PROFILING_CASES))
     def test_trace_refold_matches_shipped_profile(self, index, tmp_path):
         from repro.profiling import load_profile
-        from repro.profiling.io import _fold_span_records, _read_jsonl
 
         _, _, merged_dir = _ops_case(index, tmp_path)
-        records = _read_jsonl(os.path.join(merged_dir, "trace.jsonl"))
-        refolded = _fold_span_records(records)
+        # A bare span JSONL source folds the spans, ignoring profile.json.
+        refolded = load_profile(os.path.join(merged_dir, "trace.jsonl"))
         # Dropped counts ride the metrics lines, not the trace; with no
         # drops in these runs the refold is bit-equal to the artifact.
         assert refolded.to_json() == load_profile(merged_dir).to_json()

@@ -130,6 +130,13 @@ class TestTelemetryCommands:
         assert main(["top", "--trace", str(not_spans)]) == 1
         assert "not a span record" in capsys.readouterr().err
 
+    def test_top_drops_a_torn_trailing_line(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        with open(os.path.join(OPS_FIXTURE, "shard-000000.trace.jsonl")) as fp:
+            trace.write_text(fp.read() + '{"session": 0, "na')
+        assert main(["top", "--trace", str(trace)]) == 0
+        assert "3 session(s)" in capsys.readouterr().out
+
     def test_trace_unreadable_model_exits_two(self, tmp_path, capsys):
         rc = main(["trace", "--model", str(tmp_path / "absent.npz"),
                    "--output", str(tmp_path / "trace.jsonl")])
@@ -189,6 +196,14 @@ class TestDashCommand:
                    str(tmp_path / "out")])
         assert rc == 2
         assert "no run artifacts" in capsys.readouterr().err
+
+    def test_non_span_trace_exits_two(self, tmp_path, capsys):
+        (tmp_path / "trace.jsonl").write_text('{"rows": 3}\n')
+        rc = main(["dash", "--dir", str(tmp_path), "--once",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not a span record" in err and "Traceback" not in err
 
     def test_unwritable_dump_directory_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "file"
